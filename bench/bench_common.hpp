@@ -15,7 +15,8 @@
 //   TAAMR_RUN_LOG      per-epoch/per-attack-step JSONL log path
 //   TAAMR_THREADS      global thread-pool size (default: hardware)
 //   TAAMR_BENCH_DIR    directory for the BENCH_<name>.json artifact each
-//                      bench binary writes via bench::Reporter (default ".")
+//                      bench binary writes via bench::Reporter (default ".";
+//                      created at start-up when missing)
 //   TAAMR_PROFILE      sampling profiler (off|cpu|alloc|both); Reporter
 //                      construction touches obs::Profiler::global() so a
 //                      profiled bench covers the whole run and writes
@@ -29,7 +30,11 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <exception>
+#include <filesystem>
+#include <iostream>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "core/experiment.hpp"
@@ -105,20 +110,29 @@ inline core::DatasetResults results_for(const std::string& dataset) {
 }
 
 inline std::string env_bench_dir() {
-  if (const char* s = std::getenv("TAAMR_BENCH_DIR")) return s;
-  return ".";
+  const char* s = std::getenv("TAAMR_BENCH_DIR");
+  return s != nullptr && *s != '\0' ? s : ".";
 }
 
 // Collects the run into a BENCH_<name>.json artifact (schema in
 // obs/bench_report.hpp). Construct at the top of main; write() (or the
 // destructor) snapshots wall time, the kernel cost counters, memory
 // telemetry and whatever paper metrics the bench added, and writes
-// $TAAMR_BENCH_DIR/BENCH_<name>.json. Construction force-enables kernel
-// cost accounting so the artifact has real FLOP counts even when no
-// telemetry env knob is set.
+// $TAAMR_BENCH_DIR/BENCH_<name>.json. Construction creates that directory
+// (exiting with status 1 and a message when it cannot), so a bad path fails
+// before the run instead of after it, and force-enables kernel cost
+// accounting so the artifact has real FLOP counts even when no telemetry env
+// knob is set.
 class Reporter {
  public:
-  explicit Reporter(std::string name) {
+  explicit Reporter(std::string name) : dir_(env_bench_dir()) {
+    std::error_code ec;
+    std::filesystem::create_directories(dir_, ec);
+    if (ec) {
+      std::cerr << "bench: cannot create TAAMR_BENCH_DIR '" << dir_ << "': " << ec.message()
+                << "\n";
+      std::exit(1);
+    }
     cost::enable();
     // Arm the sampling profiler (no-op unless TAAMR_PROFILE is set) and
     // name the driver thread so it roots its own flamegraph column.
@@ -139,8 +153,15 @@ class Reporter {
   Reporter(const Reporter&) = delete;
   Reporter& operator=(const Reporter&) = delete;
 
+  // Writes the artifact if write() was not called. A failure is logged, not
+  // thrown: an exception escaping a destructor would std::terminate the run.
   ~Reporter() {
-    if (!written_) write();
+    if (written_) return;
+    try {
+      write();
+    } catch (const std::exception& e) {
+      log_error() << "bench report not written: " << e.what();
+    }
   }
 
   // Bench-defined unit of completed work (grid cells, attacked items, ...).
@@ -174,7 +195,7 @@ class Reporter {
     }
     report_.peak_rss_bytes = obs::peak_rss_bytes();
     report_.tensor_high_water_bytes = cost::tensor_bytes_high_water();
-    const std::string path = env_bench_dir() + "/BENCH_" + report_.name + ".json";
+    const std::string path = dir_ + "/BENCH_" + report_.name + ".json";
     report_.write_json_file(path);
     log_info() << "bench report: " << path << " (" << Table::fmt(report_.gflops(), 2)
                << " GFLOP/s over " << Table::fmt(report_.wall_seconds, 1) << "s)";
@@ -184,6 +205,7 @@ class Reporter {
   obs::BenchReport& report() { return report_; }
 
  private:
+  std::string dir_;
   obs::BenchReport report_;
   Stopwatch wall_;
   bool written_ = false;

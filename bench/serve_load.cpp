@@ -23,16 +23,23 @@
 // scaling on hosts with enough cores (serve_hw_concurrency records what
 // this host had).
 //
-// Part 2 — telemetry overhead (unchanged contract; the serve_obs_gate and
-// prof_overhead_gate consume these metrics). The load runs twice against a
-// single-shard router with an identical request schedule:
+// Part 2 — telemetry overhead (the serve_obs_gate and prof_overhead_gate
+// consume these metrics). The load runs against a single-shard router in
+// two kinds of phase with an identical request schedule:
 //   phase A — telemetry off: tracing disabled, no request contexts;
 //   phase B — telemetry on: per-request RequestContext, tracing re-enabled
 //             if configured, audit trail if configured.
-// The cache is cleared between phases so both start cold. Phase B is the
-// measured run; phase A contributes serve_qps_telemetry_off, and the
-// floored percentage difference lands in serve_telemetry_overhead_pct —
-// the serve_obs_gate asserts it stays within 10%. The floor (1%) keeps the
+// Fifteen A/B pairs run in alternating order, each phase from a cold cache
+// and each a fixed replay: clients draw from disjoint user slices and the
+// three hot swaps happen between segments of the request stream. A phase is
+// timed by its clients' CPU time in their request loops (mean over
+// clients), so serve_qps here is requests per client-CPU-second times the
+// client count — the wall-clock qps the clients would reach without ever
+// waiting. Phase B is the measured run: serve_qps is from the median B
+// phase, serve_qps_telemetry_off from the median A phase, and their floored
+// percentage difference lands in serve_telemetry_overhead_pct — the
+// serve_obs_gate asserts it stays within 10%. Latency quantiles, hit
+// rate and counters pool every B phase. The floor (1%) keeps the
 // self-compare regression gate from seeing huge *relative* drift between
 // two tiny absolute overheads.
 //
@@ -48,8 +55,10 @@
 // and event-loop knobs read by ServeConfig / EventLoopConfig ::from_env.
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdlib>
+#include <ctime>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -252,6 +261,12 @@ WireRec parse_wire_response(const std::string& text) {
          static_cast<float>(item.find("score")->num)});
   }
   return rec;
+}
+
+double thread_cpu_seconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 double percentile(const std::vector<double>& sorted, double q) {
@@ -534,31 +549,33 @@ int main() {
   solo_cfg.num_shards = 1;
   serve::ShardRouter service(dataset, registry, features, solo_cfg);
 
-  // A hot pool keeps the cache hit rate and the coalescer busy at any
-  // dataset size (the sweep above covers the full-skew regime).
+  // A hot pool keeps the cache hit rate up at any dataset size (the sweep
+  // above covers the full-skew regime).
   const std::int64_t hot_pool = std::min<std::int64_t>(dataset.num_users, 512);
   const std::vector<std::int64_t> probes = {0, 1, 2};
 
-  std::atomic<std::int64_t> done{0};
   std::atomic<bool> failed{false};
 
-  auto client_loop = [&](std::int64_t id, bool telemetry) {
-    // Same seed in both phases: identical request schedules, so the only
-    // difference the overhead comparison sees is the telemetry itself.
-    Rng crng(spec.seed * 1000 + static_cast<std::uint64_t>(id));
-    for (std::int64_t r = 0; r < per_client && !failed.load(); ++r) {
+  // `count` requests of client `id`. Each client draws from its own slice
+  // of the hot pool (users congruent to its id modulo the client count), so
+  // no two clients race for one cache entry.
+  auto client_requests = [&](std::int64_t id, Rng& crng, std::int64_t count,
+                             bool telemetry) {
+    const std::int64_t slice = std::max<std::int64_t>(1, hot_pool / clients);
+    for (std::int64_t r = 0; r < count && !failed.load(); ++r) {
       const double u01 = crng.uniform();
-      const auto user =
-          static_cast<std::int64_t>(u01 * u01 * static_cast<double>(hot_pool));
+      const auto slot = std::min(
+          slice - 1, static_cast<std::int64_t>(u01 * u01 * static_cast<double>(slice)));
+      const std::int64_t user = std::min(id + clients * slot, dataset.num_users - 1);
       const std::string model = crng.uniform() < 0.2 ? "bpr_mf" : "vbpr";
       serve::Recommendation rec;
       try {
         if (telemetry) {
           obs::RequestContext ctx;
-          rec = service.recommend(model, std::min(user, hot_pool - 1), top_n, &ctx);
+          rec = service.recommend(model, user, top_n, &ctx);
           ctx.publish();
         } else {
-          rec = service.recommend(model, std::min(user, hot_pool - 1), top_n);
+          rec = service.recommend(model, user, top_n);
         }
       } catch (const std::exception& e) {
         failed.store(true);
@@ -566,129 +583,165 @@ int main() {
         break;
       }
       check_served_list(dataset, rec.user, rec.items);
-      done.fetch_add(1);
     }
   };
 
-  // Controller: three hot feature swaps spread through the load, each
-  // verified against a golden recompute.
-  auto controller = [&]() {
-    std::int64_t swaps_done = 0;
-    for (const double frac : {0.25, 0.5, 0.75}) {
-      const auto threshold = static_cast<std::int64_t>(frac * static_cast<double>(total));
-      while (done.load() < threshold && !failed.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      if (failed.load()) return;
-
-      const auto vbpr_before = registry.get("vbpr");
-      std::vector<std::vector<recsys::ScoredItem>> before;
-      before.reserve(probes.size());
-      for (const std::int64_t p : probes) {
-        before.push_back(golden_topn(dataset, *vbpr_before.model, p, top_n));
-      }
-      if (before[0].empty()) fail("probe user has an empty list");
-
-      const std::int32_t victim = before[0][0].item;
-      std::vector<float> feats = service.feature_store().item_features(victim);
-      for (float& f : feats) f = -f - 50.0f * static_cast<float>(swaps_done + 1);
-      const std::uint64_t epoch = service.update_item_features(victim, feats);
-
-      const auto vbpr_after = registry.get("vbpr");
-      if (vbpr_after.feature_epoch != epoch) fail("registry missed the feature epoch");
-      bool any_changed = false;
-      for (std::size_t i = 0; i < probes.size(); ++i) {
-        const auto golden = golden_topn(dataset, *vbpr_after.model, probes[i], top_n);
-        const auto served = service.recommend("vbpr", probes[i], top_n);
-        if (served.items != golden) {
-          fail("post-swap served list diverges from golden recompute (user " +
-               std::to_string(probes[i]) + ")");
-        }
-        if (served.feature_epoch != epoch) {
-          fail("post-swap response stamped with a stale feature epoch");
-        }
-        if (golden != before[i]) any_changed = true;
-      }
-      if (!any_changed) fail("hot feature swap changed no probe list");
-      ++swaps_done;
+  // One hot feature swap, verified against a golden recompute.
+  auto swap_and_verify = [&](std::int64_t swap_index) {
+    const auto vbpr_before = registry.get("vbpr");
+    std::vector<std::vector<recsys::ScoredItem>> before;
+    before.reserve(probes.size());
+    for (const std::int64_t p : probes) {
+      before.push_back(golden_topn(dataset, *vbpr_before.model, p, top_n));
     }
+    if (before[0].empty()) fail("probe user has an empty list");
+
+    const std::int32_t victim = before[0][0].item;
+    std::vector<float> feats = service.feature_store().item_features(victim);
+    for (float& f : feats) f = -f - 50.0f * static_cast<float>(swap_index + 1);
+    const std::uint64_t epoch = service.update_item_features(victim, feats);
+
+    const auto vbpr_after = registry.get("vbpr");
+    if (vbpr_after.feature_epoch != epoch) fail("registry missed the feature epoch");
+    bool any_changed = false;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      const auto golden = golden_topn(dataset, *vbpr_after.model, probes[i], top_n);
+      const auto served = service.recommend("vbpr", probes[i], top_n);
+      if (served.items != golden) {
+        fail("post-swap served list diverges from golden recompute (user " +
+             std::to_string(probes[i]) + ")");
+      }
+      if (served.feature_epoch != epoch) {
+        fail("post-swap response stamped with a stale feature epoch");
+      }
+      if (golden != before[i]) any_changed = true;
+    }
+    if (!any_changed) fail("hot feature swap changed no probe list");
   };
 
+  // One phase: four segments of concurrent client requests, with a hot swap
+  // after each of the first three while the clients wait. Same seeds in
+  // every phase and swaps at fixed points of the request stream, so every
+  // phase replays the same hits, misses and revalidations, and the only
+  // difference between an A and a B phase is the telemetry. Returns the CPU
+  // time a client spends in its request loops (the mean over clients). CPU
+  // time, not wall time: telemetry costs CPU, while the wall time of a few
+  // milliseconds of lock-contending threads on a shared VM is dominated by
+  // how fast blocked threads are woken (identical phases differed by up to
+  // 2x). Waiting at segment boundaries and the swaps, identical in both
+  // kinds of phase, do not count.
   auto run_phase = [&](bool telemetry) {
-    done.store(0);
-    Stopwatch timer;
+    constexpr std::int64_t kSegments = 4;
+    std::barrier sync(clients + 1);
+    std::vector<double> client_seconds(static_cast<std::size_t>(clients), 0.0);
     std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(clients) + 1);
+    threads.reserve(static_cast<std::size_t>(clients));
     for (std::int64_t c = 0; c < clients; ++c) {
-      threads.emplace_back([&client_loop, c, telemetry] {
+      threads.emplace_back([&, c] {
         set_current_thread_name("load-client" + std::to_string(c));
-        client_loop(c, telemetry);
+        Rng crng(spec.seed * 1000 + static_cast<std::uint64_t>(c));
+        for (std::int64_t segment = 0; segment < kSegments; ++segment) {
+          const std::int64_t count = (segment + 1) * per_client / kSegments -
+                                     segment * per_client / kSegments;
+          sync.arrive_and_wait();
+          const double cpu0 = thread_cpu_seconds();
+          client_requests(c, crng, count, telemetry);
+          client_seconds[static_cast<std::size_t>(c)] += thread_cpu_seconds() - cpu0;
+          sync.arrive_and_wait();
+        }
       });
     }
-    threads.emplace_back([&controller] {
-      set_current_thread_name("load-control");
-      controller();
-    });
+    for (std::int64_t segment = 0; segment < kSegments; ++segment) {
+      sync.arrive_and_wait();  // clients start the segment
+      sync.arrive_and_wait();  // every client finished it
+      if (segment + 1 < kSegments && !failed.load()) swap_and_verify(segment);
+    }
     for (std::thread& t : threads) t.join();
-    const double seconds = timer.seconds();
     if (failed.load()) fail("load loop aborted");
-    return seconds;
+    double seconds = 0.0;
+    for (const double s : client_seconds) seconds += s;
+    return seconds / static_cast<double>(clients);
   };
 
-  // Phase A — telemetry off. Tracing is suspended (and restored below);
-  // clients attach no request context.
+  // Alternating phases, each from a cold cache: A (telemetry off: tracing
+  // suspended, no request contexts) and B (telemetry on: request contexts,
+  // tracing restored if configured). Rounds alternate the order (AB, BA,
+  // ...) so warm-up and drift favour neither. One phase lasts only a few
+  // milliseconds, so qps comes from each side's median phase time, and B's
+  // quantiles, hit rate and counters pool all B phases.
+  constexpr int kPhasePairs = 15;
   const bool trace_was_enabled = obs::Trace::global().enabled();
   const std::string trace_path = obs::Trace::global().path();
-  obs::Trace::global().disable();
-  const double off_seconds = run_phase(/*telemetry=*/false);
-  const serve::RecommendService::Stats stats_off = service.stats();
-  if (stats_off.feature_swaps != 3) fail("expected 3 hot swaps in phase A");
-
   auto& latency = obs::MetricsRegistry::global().histogram("serve_request_seconds");
-  std::vector<std::uint64_t> buckets_off(latency.bounds().size() + 1);
-  for (std::size_t i = 0; i < buckets_off.size(); ++i) {
-    buckets_off[i] = latency.bucket_count(i);
+  std::vector<double> off_seconds;
+  std::vector<double> on_seconds;
+  std::vector<std::uint64_t> buckets_b(latency.bounds().size() + 1, 0);
+  std::uint64_t count_b = 0;
+  std::uint64_t hits_b = 0;
+  std::uint64_t misses_b = 0;
+  std::uint64_t coalesced_b = 0;
+  std::uint64_t revalidated_b = 0;
+  for (int round = 0; round < kPhasePairs; ++round) {
+    for (const bool telemetry : {round % 2 == 1, round % 2 == 0}) {
+      service.clear_cache();
+      if (telemetry && trace_was_enabled) {
+        obs::Trace::global().enable(trace_path);
+      } else {
+        obs::Trace::global().disable();
+      }
+      const serve::RecommendService::Stats before = service.stats();
+      std::vector<std::uint64_t> buckets_before(buckets_b.size());
+      for (std::size_t i = 0; i < buckets_before.size(); ++i) {
+        buckets_before[i] = latency.bucket_count(i);
+      }
+      const std::uint64_t count_before = latency.count();
+      const double seconds = run_phase(telemetry);
+      const serve::RecommendService::Stats after = service.stats();
+      if (after.feature_swaps != before.feature_swaps + 3) {
+        fail("expected 3 hot swaps per phase");
+      }
+      if (!telemetry) {
+        off_seconds.push_back(seconds);
+        continue;
+      }
+      on_seconds.push_back(seconds);
+      for (std::size_t i = 0; i < buckets_b.size(); ++i) {
+        buckets_b[i] += latency.bucket_count(i) - buckets_before[i];
+      }
+      count_b += latency.count() - count_before;
+      hits_b += after.cache_hits - before.cache_hits;
+      misses_b += after.cache_misses - before.cache_misses;
+      coalesced_b += after.coalesced_batches - before.coalesced_batches;
+      revalidated_b += after.cache_revalidated - before.cache_revalidated;
+    }
   }
-  const std::uint64_t count_off = latency.count();
-
-  // Phase B — telemetry on, from an equally cold cache.
-  service.clear_cache();
   if (trace_was_enabled) obs::Trace::global().enable(trace_path);
-  const double load_seconds = run_phase(/*telemetry=*/true);
   const serve::RecommendService::Stats stats = service.stats();
-  if (stats.feature_swaps != 6) fail("expected 3 hot swaps in phase B");
 
-  // Phase-B-only latency quantiles: bucket-count deltas against the
-  // phase-A snapshot, interpolated with the shared estimator.
-  std::vector<std::uint64_t> buckets_b(buckets_off.size());
-  for (std::size_t i = 0; i < buckets_b.size(); ++i) {
-    buckets_b[i] = latency.bucket_count(i) - buckets_off[i];
-  }
-  const std::uint64_t count_b = latency.count() - count_off;
   auto phase_quantile = [&](double q) {
     return obs::bucket_quantile(latency.bounds(), buckets_b, count_b,
                                 latency.min(), latency.max(), q);
   };
-
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return percentile(v, 0.5);
+  };
+  const double load_seconds = median(on_seconds);
+  const double off_median_seconds = median(off_seconds);
   const double qps = load_seconds > 0.0 ? static_cast<double>(total) / load_seconds : 0.0;
   const double qps_off =
-      off_seconds > 0.0 ? static_cast<double>(total) / off_seconds : 0.0;
+      off_median_seconds > 0.0 ? static_cast<double>(total) / off_median_seconds : 0.0;
   // Floored at 1%: below that the signal is run-to-run noise, and the
   // self-compare gate would see enormous relative drift between two tiny
   // absolute values.
   const double overhead_pct =
       qps_off > 0.0 ? std::max(1.0, (qps_off - qps) / qps_off * 100.0) : 1.0;
-
   const double hit_rate_b =
-      (stats.cache_hits - stats_off.cache_hits) +
-                  (stats.cache_misses - stats_off.cache_misses) >
-              0
-          ? static_cast<double>(stats.cache_hits - stats_off.cache_hits) /
-                static_cast<double>((stats.cache_hits - stats_off.cache_hits) +
-                                    (stats.cache_misses - stats_off.cache_misses))
+      hits_b + misses_b > 0
+          ? static_cast<double>(hits_b) / static_cast<double>(hits_b + misses_b)
           : 0.0;
 
-  reporter.add_examples(static_cast<double>(2 * total));
+  reporter.add_examples(static_cast<double>(2 * kPhasePairs * total));
   reporter.add_metric("serve_qps", {}, qps);
   reporter.add_metric("serve_qps_telemetry_off", {}, qps_off);
   reporter.add_metric("serve_telemetry_overhead_pct", {}, overhead_pct);
@@ -697,28 +750,22 @@ int main() {
   reporter.add_metric("serve_latency_p99_ms", {}, phase_quantile(0.99) * 1e3);
   reporter.add_metric("serve_rolling_p99_ms", {}, stats.rolling_p99_s * 1e3);
   reporter.add_metric("serve_cache_hit_rate", {}, hit_rate_b);
-  reporter.add_metric("serve_coalesced_batches", {},
-                      static_cast<double>(stats.coalesced_batches -
-                                          stats_off.coalesced_batches));
-  reporter.add_metric("serve_cache_revalidated", {},
-                      static_cast<double>(stats.cache_revalidated -
-                                          stats_off.cache_revalidated));
+  reporter.add_metric("serve_coalesced_batches", {}, static_cast<double>(coalesced_b));
+  reporter.add_metric("serve_cache_revalidated", {}, static_cast<double>(revalidated_b));
   reporter.add_metric("serve_audit_records", {},
                       static_cast<double>(stats.audit_records));
 
   std::cout << "serve_load: " << total << " requests from " << clients
-            << " clients in " << Table::fmt(load_seconds, 2) << "s — "
-            << Table::fmt(qps, 0) << " qps (telemetry off: "
-            << Table::fmt(qps_off, 0) << " qps, overhead "
-            << Table::fmt(overhead_pct, 1) << "%), p50 "
+            << " clients per phase, " << kPhasePairs << " phase pairs, median "
+            << Table::fmt(load_seconds * 1e3, 2) << " client-CPU ms — " << Table::fmt(qps, 0)
+            << " qps (telemetry off: " << Table::fmt(qps_off, 0)
+            << " qps, overhead " << Table::fmt(overhead_pct, 1) << "%), p50 "
             << Table::fmt(phase_quantile(0.5) * 1e3, 3) << "ms, p99 "
             << Table::fmt(phase_quantile(0.99) * 1e3, 3) << "ms, rolling p99 "
             << Table::fmt(stats.rolling_p99_s * 1e3, 3) << "ms, hit rate "
-            << Table::fmt(hit_rate_b, 3) << ", "
-            << stats.coalesced_batches - stats_off.coalesced_batches
-            << " coalesced batches, "
-            << stats.cache_revalidated - stats_off.cache_revalidated
-            << " revalidations, " << stats.audit_records << " audit records, "
-            << stats.suspect_updates << " suspect updates\n";
+            << Table::fmt(hit_rate_b, 3) << ", " << coalesced_b
+            << " coalesced batches, " << revalidated_b << " revalidations, "
+            << stats.audit_records << " audit records, " << stats.suspect_updates
+            << " suspect updates\n";
   return 0;
 }

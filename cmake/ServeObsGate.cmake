@@ -2,7 +2,7 @@
 # bench with tracing + audit trail enabled and asserts that
 #   * the BENCH JSON carries the rolling-window quantile and the
 #     two-phase overhead measurement, with overhead <= 10%;
-#   * the trace validates through trace_summary (flow events present);
+#   * the trace validates through trace_summary;
 #   * the audit JSONL validates through taamr_report --audit.
 #
 # Invoked as:
@@ -64,8 +64,9 @@ if(CMAKE_MATCH_1 GREATER 10)
 endif()
 message(STATUS "telemetry overhead: ${CMAKE_MATCH_1}% (budget 10%)")
 
-# The trace is valid Chrome trace JSON; the bench's phase-B traffic must
-# have produced serving spans (and flow events when batches coalesced).
+# The trace is valid Chrome trace JSON and trace_summary prints its summary
+# line, which ends with the flow-event count (0: serving emits no flow
+# events).
 execute_process(
   COMMAND "${TRACE_SUMMARY}" "${trace_file}" 15
   RESULT_VARIABLE summary_rc

@@ -51,9 +51,7 @@ function(run_sweep tag prefix)
             "TAAMR_SERVE_CLIENTS=8"
             "TAAMR_SERVE_REQUESTS=150"
             "TAAMR_SERVE_SHARD_SWEEP=1,4"
-            "TAAMR_SERVE_WORKERS=1"
             "TAAMR_SERVE_CACHE_CAP=64"
-            "TAAMR_SERVE_BATCH_WINDOW_US=0"
             ${BENCH_BIN}
     WORKING_DIRECTORY "${dir}"
     RESULT_VARIABLE rc

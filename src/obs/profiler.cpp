@@ -21,6 +21,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/symbolize.hpp"
+#include "util/env.hpp"
 #include "util/thread_name.hpp"
 
 namespace taamr::obs {
@@ -109,14 +110,10 @@ AllocStore& alloc_store() {
   return *s;
 }
 
+// Malformed values fall back (with util/env's warning); parsed values are
+// clamped into [lo, hi].
 int env_int(const char* name, int fallback, int lo, int hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0') return fallback;
-  return static_cast<int>(std::clamp(parsed, static_cast<long>(lo),
-                                     static_cast<long>(hi)));
+  return static_cast<int>(std::clamp<std::int64_t>(env_int64(name, fallback), lo, hi));
 }
 
 // ---------------------------------------------------------------------------

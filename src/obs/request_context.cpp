@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 
@@ -35,10 +36,19 @@ std::uint64_t RequestContext::total_us() const {
 }
 
 void RequestContext::publish() const {
-  auto& registry = MetricsRegistry::global();
+  // Stage names are string literals, so a thread resolves each name's
+  // histogram once instead of taking the registry lock on every request
+  // (instruments live as long as the registry, i.e. the process).
+  thread_local std::vector<std::pair<const char*, Histogram*>> resolved;
   for (const auto& [stage, dur_us] : stages_) {
-    registry.histogram("serve_stage_seconds", {{"stage", stage}})
-        .observe(static_cast<double>(dur_us) * 1e-6);
+    auto it = std::find_if(resolved.begin(), resolved.end(),
+                           [stage](const auto& r) { return r.first == stage; });
+    if (it == resolved.end()) {
+      resolved.emplace_back(stage, &MetricsRegistry::global().histogram(
+                                       "serve_stage_seconds", {{"stage", stage}}));
+      it = resolved.end() - 1;
+    }
+    it->second->observe(static_cast<double>(dur_us) * 1e-6);
   }
 }
 

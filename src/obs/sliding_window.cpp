@@ -90,4 +90,21 @@ double SlidingWindowHistogram::Snapshot::quantile(double q) const {
   return bucket_quantile(bounds, buckets, count, min, max, q);
 }
 
+void SlidingWindowHistogram::Snapshot::merge(const Snapshot& other) {
+  if (buckets.empty()) {
+    bounds = other.bounds;
+    buckets.assign(other.buckets.size(), 0);
+  } else if (bounds != other.bounds) {
+    throw std::invalid_argument(
+        "SlidingWindowHistogram: merging snapshots with different bounds");
+  }
+  for (std::size_t b = 0; b < other.buckets.size(); ++b) {
+    buckets[b] += other.buckets[b];
+  }
+  count += other.count;
+  sum += other.sum;
+  min = std::min(min, other.min);
+  max = std::max(max, other.max);
+}
+
 }  // namespace taamr::obs

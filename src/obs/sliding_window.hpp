@@ -51,6 +51,11 @@ class SlidingWindowHistogram {
     }
     // Same estimator as Histogram::quantile; 0 when the window is empty.
     double quantile(double q) const;
+    // Adds `other`'s observations, so quantiles of the result are those of
+    // one histogram fed both streams. An empty (default) snapshot adopts
+    // other's bounds; otherwise the bounds must match
+    // (std::invalid_argument).
+    void merge(const Snapshot& other);
   };
   Snapshot snapshot() const;
   Snapshot snapshot(std::uint64_t now_us) const;

@@ -66,22 +66,4 @@ void accumulate_trace_thread(std::vector<TraceSpanEvent>& spans,
 std::vector<std::pair<std::string, TraceNameStats>> trace_top_spans(
     const TraceDocument& doc, std::size_t top_k);
 
-// One coalesced request group, reconstructed from flow events: followers
-// emit flow starts where they park, the batch leader emits the matching
-// finish inside its scoring span.
-struct TraceRequestPath {
-  std::uint64_t id = 0;
-  std::uint64_t followers = 0;       // flow-start count
-  std::uint64_t leader_span_us = 0;  // innermost span enclosing the finish
-  // Critical-path time: from the earliest follower park (or the leader span
-  // start when there are no followers) to the leader span's end.
-  std::uint64_t critical_us = 0;
-};
-
-// Groups the document's flow events by id and attributes each group to the
-// leader span enclosing its finish event. Groups without a finish event are
-// dropped (the request was in flight when the trace was written). Ranked by
-// critical_us descending.
-std::vector<TraceRequestPath> trace_request_paths(const TraceDocument& doc);
-
 }  // namespace taamr::obs

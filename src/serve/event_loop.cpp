@@ -11,11 +11,10 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
+#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/thread_name.hpp"
 
@@ -24,19 +23,7 @@ namespace taamr::serve {
 namespace {
 
 constexpr int kMaxEvents = 64;
-
-std::int64_t env_int64(const char* name, std::int64_t fallback, std::int64_t min_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || v < min_value) {
-    std::fprintf(stderr, "serve: ignoring invalid %s=%s (using %lld)\n", name, raw,
-                 static_cast<long long>(fallback));
-    return fallback;
-  }
-  return static_cast<std::int64_t>(v);
-}
+constexpr const char* kLineTooLongResponse = "{\"ok\":false,\"error\":\"line too long\"}";
 
 }  // namespace
 
@@ -44,7 +31,6 @@ EventLoopConfig EventLoopConfig::from_env() {
   EventLoopConfig c;
   c.backlog = env_int64("TAAMR_SERVE_BACKLOG", c.backlog, 1);
   c.max_inflight = env_int64("TAAMR_SERVE_MAX_INFLIGHT", c.max_inflight, 1);
-  c.workers_per_shard = env_int64("TAAMR_SERVE_WORKERS", c.workers_per_shard, 1);
   return c;
 }
 
@@ -117,16 +103,12 @@ void EventLoop::start() {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    for (std::int64_t w = 0; w < config_.workers_per_shard; ++w) {
-      workers_.emplace_back(&EventLoop::worker_main, this, s,
-                            static_cast<std::size_t>(w));
-    }
+    workers_.emplace_back(&EventLoop::worker_main, this, s);
   }
   loop_thread_ = std::thread(&EventLoop::loop_main, this);
   log_info() << "event loop listening on 127.0.0.1:" << port_ << " ("
-             << shards_.size() << " shards x " << config_.workers_per_shard
-             << " workers, backlog " << config_.backlog << ", max inflight "
-             << config_.max_inflight << "/shard)";
+             << shards_.size() << " shards, backlog " << config_.backlog
+             << ", max inflight " << config_.max_inflight << "/shard)";
 }
 
 void EventLoop::request_shutdown() {
@@ -155,9 +137,8 @@ void EventLoop::wake() {
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
-void EventLoop::worker_main(std::size_t shard_idx, std::size_t worker) {
-  set_current_thread_name("serve-sh" + std::to_string(shard_idx) + "w" +
-                          std::to_string(worker));
+void EventLoop::worker_main(std::size_t shard_idx) {
+  set_current_thread_name("serve-sh" + std::to_string(shard_idx));
   Shard& shard = *shards_[shard_idx];
   while (true) {
     Job job;
@@ -232,11 +213,23 @@ void EventLoop::admit(const std::shared_ptr<Connection>& conn, std::string line)
 }
 
 void EventLoop::handle_readable(const std::shared_ptr<Connection>& conn) {
+  if (conn->line_too_long) return;
   char buf[65536];
   while (true) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       conn->rbuf.append(buf, static_cast<std::size_t>(n));
+      admit_lines(conn);
+      if (conn->rbuf.size() > kMaxLineBytes) {
+        // Answer in sequence, then stop reading; maybe_close() closes the
+        // connection once everything admitted before it has flushed.
+        conn->line_too_long = true;
+        conn->peer_closed = true;
+        std::string().swap(conn->rbuf);
+        requests_.fetch_add(1, std::memory_order_relaxed);
+        deliver(conn, conn->next_seq++, kLineTooLongResponse);
+        return;
+      }
       continue;  // edge-triggered: drain until EAGAIN
     }
     if (n == 0) {
@@ -248,6 +241,9 @@ void EventLoop::handle_readable(const std::shared_ptr<Connection>& conn) {
     conn->peer_closed = true;
     break;
   }
+}
+
+void EventLoop::admit_lines(const std::shared_ptr<Connection>& conn) {
   // Reassemble newline-framed requests across arbitrary packet splits.
   std::size_t start = 0;
   while (true) {

@@ -4,10 +4,17 @@
 // accepts (edge-triggered, accept4 until EAGAIN), reads request bytes into
 // per-connection buffers, reassembles newline-framed requests across
 // arbitrary packet splits, and writes responses back. Requests are routed
-// (Route: line -> shard) onto bounded per-shard queues drained by a fixed
-// worker set ("serve-sh<k>w<i>") — connection count and worker count are
-// decoupled, which is the whole point: 10k idle connections cost one fd
-// each, not one thread each.
+// (Route: line -> shard) onto bounded per-shard queues, each drained by
+// exactly one worker ("serve-sh<k>") — connection count and worker count
+// are decoupled, which is the whole point: 10k idle connections cost one fd
+// each, not one thread each. One worker per queue also means a shard runs
+// its jobs in admission order: two updates pipelined on one connection and
+// routed to the same shard are applied in the order they were sent.
+//
+// Line cap: a connection whose unterminated line grows past kMaxLineBytes
+// is answered, in sequence, with {"ok":false,"error":"line too long"}; the
+// loop stops reading from it and closes it once every admitted request on
+// it has been answered and flushed.
 //
 // Admission control: each shard queue holds at most max_inflight jobs.
 // When a queue is full the loop thread sheds the request immediately with
@@ -16,7 +23,7 @@
 // counts per shard, serve_shard_queue_depth gauges expose pressure.
 //
 // Ordering: responses on a connection are delivered in request order even
-// though shards execute concurrently. Every request gets a per-connection
+// though different shards execute concurrently. Every request gets a per-connection
 // sequence number; workers deposit finished responses into the
 // connection's reorder map and the loop flushes the contiguous prefix.
 // Shed responses enter the same sequence, so a client always receives
@@ -54,12 +61,11 @@ struct EventLoopConfig {
   int port = 0;                        // 0 = kernel-assigned; see port()
   std::int64_t backlog = 128;          // TAAMR_SERVE_BACKLOG
   std::int64_t max_inflight = 256;     // per-shard queue bound, TAAMR_SERVE_MAX_INFLIGHT
-  std::int64_t workers_per_shard = 2;  // TAAMR_SERVE_WORKERS
   std::int64_t drain_timeout_ms = 10000;
   std::string overload_response = "{\"ok\":false,\"error\":\"overloaded\"}";
 
-  // TAAMR_SERVE_BACKLOG / TAAMR_SERVE_MAX_INFLIGHT / TAAMR_SERVE_WORKERS;
-  // malformed values fall back to the defaults with a warning.
+  // TAAMR_SERVE_BACKLOG / TAAMR_SERVE_MAX_INFLIGHT; malformed values fall
+  // back to the defaults with a warning.
   static EventLoopConfig from_env();
 };
 
@@ -69,8 +75,8 @@ class EventLoop {
   // placement hint — handlers must not rely on it for correctness (the
   // shard router re-derives the shard from the parsed user id).
   using Route = std::function<std::size_t(const std::string& line)>;
-  // Executes one request line on a shard worker; returns the response line
-  // (without trailing newline). Must not throw — wrap errors in the
+  // Executes one request line on its shard's worker; returns the response
+  // line (without trailing newline). Must not throw — wrap errors in the
   // protocol's error envelope.
   using Handler = std::function<std::string(std::size_t shard, const std::string& line)>;
 
@@ -79,7 +85,8 @@ class EventLoop {
   ~EventLoop();
 
   // Binds 127.0.0.1:<port>, listens with the configured backlog and spawns
-  // the loop + worker threads. Throws std::runtime_error on bind failure.
+  // the loop thread and one worker per shard. Throws std::runtime_error on
+  // bind failure.
   void start();
   // The bound port (useful with config.port = 0).
   int port() const { return port_; }
@@ -94,13 +101,16 @@ class EventLoop {
   struct Stats {
     std::uint64_t accepted = 0;
     std::uint64_t accept_shed = 0;  // EMFILE shed connections
-    std::uint64_t requests = 0;     // admitted + shed
+    std::uint64_t requests = 0;     // admitted + shed + oversize lines
     std::uint64_t shed = 0;         // overload responses sent
     std::uint64_t responses = 0;    // total response lines flushed or queued
   };
   Stats stats() const;
 
  private:
+  // Longest unterminated request line a connection may hold (1 MiB).
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   struct Connection {
     int fd = -1;
     std::string rbuf;              // loop thread only
@@ -110,6 +120,7 @@ class EventLoop {
     std::size_t woff = 0;
     bool want_write = false;       // EPOLLOUT armed
     bool peer_closed = false;      // no more reads; flush then close
+    bool line_too_long = false;    // answered an oversize line; reads stop
     bool closed = false;
     std::mutex mutex;              // guards ready
     std::map<std::uint64_t, std::string> ready;  // seq -> response + '\n'
@@ -131,9 +142,11 @@ class EventLoop {
   };
 
   void loop_main();
-  void worker_main(std::size_t shard, std::size_t worker);
+  void worker_main(std::size_t shard);
   void accept_new();
   void handle_readable(const std::shared_ptr<Connection>& conn);
+  // Admits every complete line in conn->rbuf and drops it from the buffer.
+  void admit_lines(const std::shared_ptr<Connection>& conn);
   void admit(const std::shared_ptr<Connection>& conn, std::string line);
   void deliver(const std::shared_ptr<Connection>& conn, std::uint64_t seq,
                std::string response);

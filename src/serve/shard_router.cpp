@@ -1,31 +1,13 @@
 #include "serve/shard_router.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 
+#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace taamr::serve {
-
-namespace {
-
-std::int64_t env_int64(const char* name, std::int64_t fallback, std::int64_t min_value) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || v < min_value) {
-    std::fprintf(stderr, "serve: ignoring invalid %s=%s (using %lld)\n", name, raw,
-                 static_cast<long long>(fallback));
-    return fallback;
-  }
-  return static_cast<std::int64_t>(v);
-}
-
-}  // namespace
 
 ShardRouterConfig ShardRouterConfig::from_env() {
   ShardRouterConfig c;
@@ -50,11 +32,9 @@ ShardRouter::ShardRouter(const data::ImplicitDataset& dataset, ModelRegistry& re
       static_cast<std::size_t>(config_.service.update_log_window));
   auto update_mutex = std::make_shared<std::mutex>();
 
-  // Split the total cache budget: every shard keeps at least one entry per
-  // internal cache shard so the LRU slices stay functional at any N.
+  // Split the total cache budget; every shard keeps at least one entry.
   ServeConfig per_shard = config_.service;
-  per_shard.cache_capacity = std::max<std::int64_t>(
-      per_shard.cache_shards, per_shard.cache_capacity / n);
+  per_shard.cache_capacity = std::max<std::int64_t>(1, per_shard.cache_capacity / n);
 
   auto& metrics = obs::MetricsRegistry::global();
   shards_.reserve(static_cast<std::size_t>(n));
@@ -135,6 +115,7 @@ RecommendService::Stats ShardRouter::shard_stats(std::size_t shard) const {
 
 RecommendService::Stats ShardRouter::stats() const {
   RecommendService::Stats total;
+  obs::SlidingWindowHistogram::Snapshot window;
   for (const auto& shard : shards_) {
     const RecommendService::Stats st = shard->stats();
     total.requests += st.requests;
@@ -146,16 +127,18 @@ RecommendService::Stats ShardRouter::stats() const {
     total.slow_requests += st.slow_requests;
     total.deadline_breaches += st.deadline_breaches;
     total.suspect_updates += st.suspect_updates;
-    total.rolling_window_requests += st.rolling_window_requests;
-    // Worst shard defines the SLO story; averaging would hide a hot shard.
-    total.rolling_p50_s = std::max(total.rolling_p50_s, st.rolling_p50_s);
-    total.rolling_p90_s = std::max(total.rolling_p90_s, st.rolling_p90_s);
-    total.rolling_p99_s = std::max(total.rolling_p99_s, st.rolling_p99_s);
     total.cache.evictions += st.cache.evictions;
     total.cache.size += st.cache.size;
     total.cache.capacity += st.cache.capacity;
-    total.cache.shards += st.cache.shards;
+    window.merge(shard->latency_snapshot());
   }
+  // Quantiles of the merged buckets: the rolling latency of every request
+  // the router served, which neither the max nor the mean of per-shard
+  // quantiles is.
+  total.rolling_p50_s = window.quantile(0.50);
+  total.rolling_p90_s = window.quantile(0.90);
+  total.rolling_p99_s = window.quantile(0.99);
+  total.rolling_window_requests = window.count;
   // audit_records is a process-global counter, not per-shard; don't sum.
   total.audit_records = obs::AuditLog::global().records_written();
   return total;

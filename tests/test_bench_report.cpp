@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "../bench/bench_common.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/json.hpp"
 
@@ -151,6 +158,30 @@ TEST(BenchReport, CompareIgnoresFasterRuns) {
   current.wall_seconds = baseline.wall_seconds * 0.5;
   current.flops_total = baseline.flops_total;  // 2x the GFLOP/s
   EXPECT_TRUE(compare_bench_reports(baseline, current, {}).empty());
+}
+
+TEST(BenchReport, ReporterCreatesMissingNestedBenchDir) {
+  const std::filesystem::path root = std::filesystem::path(::testing::TempDir()) /
+                                     ("taamr_reporter_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  const std::filesystem::path dir = root / "a" / "b";
+  ::setenv("TAAMR_BENCH_DIR", dir.c_str(), 1);
+  // On its own thread: the Reporter names the thread it is built on. Its
+  // destructor writes the artifact.
+  std::thread([] {
+    bench::Reporter reporter("reporter_unit");
+    reporter.add_examples(1.0);
+  }).join();
+  ::unsetenv("TAAMR_BENCH_DIR");
+
+  std::ifstream in(dir / "BENCH_reporter_unit.json");
+  ASSERT_TRUE(in.good()) << "no artifact under " << dir;
+  std::stringstream text;
+  text << in.rdbuf();
+  const BenchReport report = parse_bench_report(json::parse(text.str()));
+  EXPECT_EQ(report.name, "reporter_unit");
+  EXPECT_DOUBLE_EQ(report.examples, 1.0);
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // EventLoop behaviour over real loopback sockets: newline framing across
 // arbitrary packet splits, per-connection response ordering, shard routing,
-// drain-then-close shutdown, and admission control (suite names start with
-// "EventLoop" / "Admission" so the CI thread-sanitizer job picks them up).
+// the line-length cap, drain-then-close shutdown, admission control, and
+// pipelined feature updates applied in send order through a ShardRouter
+// (suite names start with "EventLoop" / "Admission" so the CI
+// thread-sanitizer job picks them up).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,13 +14,20 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "data/amazon_synth.hpp"
+#include "obs/json.hpp"
+#include "recsys/vbpr.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/protocol.hpp"
+#include "serve/shard_router.hpp"
+#include "test_helpers.hpp"
 
 namespace taamr {
 namespace {
@@ -61,6 +70,17 @@ class TestClient {
     return true;
   }
 
+  // True when the server has closed the connection (EOF or reset), false
+  // when the read times out with the connection still open.
+  bool closed_by_peer() {
+    char chunk[4096];
+    while (true) {
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n == 0) return true;
+      if (n < 0) return errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR;
+    }
+  }
+
   // Empty string on timeout or close.
   std::string read_line() {
     for (;;) {
@@ -86,9 +106,17 @@ class TestClient {
 serve::EventLoopConfig test_config() {
   serve::EventLoopConfig cfg;
   cfg.port = 0;
-  cfg.workers_per_shard = 2;
   cfg.drain_timeout_ms = 5000;
   return cfg;
+}
+
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
 }
 
 TEST(EventLoopTest, PipelinedEchoKeepsRequestOrder) {
@@ -188,6 +216,101 @@ TEST(EventLoopTest, DrainCompletesInflightBeforeClosing) {
   EXPECT_FALSE(late.connected());
 }
 
+TEST(EventLoopTest, OversizeLineIsAnsweredThenClosed) {
+  const std::size_t fds_before = open_fd_count();
+  {
+    serve::EventLoop loop(
+        test_config(), 1, [](const std::string&) { return std::size_t{0}; },
+        [](std::size_t, const std::string& line) { return "echo:" + line; });
+    loop.start();
+
+    TestClient big(loop.port());
+    ASSERT_TRUE(big.connected());
+    ASSERT_TRUE(big.send_raw("first\n"));
+    EXPECT_EQ(big.read_line(), "echo:first");
+    // 2 MiB without a newline. The server stops reading past its 1 MiB cap
+    // and then closes, so this send may end early with a reset: ignore it.
+    std::thread sender([&big] { big.send_raw(std::string(std::size_t{2} << 20, 'x')); });
+
+    // Another connection is served while the oversize one is handled.
+    TestClient other(loop.port());
+    ASSERT_TRUE(other.connected());
+    ASSERT_TRUE(other.send_raw("hello\n"));
+    EXPECT_EQ(other.read_line(), "echo:hello");
+
+    EXPECT_EQ(big.read_line(), "{\"ok\":false,\"error\":\"line too long\"}");
+    EXPECT_TRUE(big.closed_by_peer());
+    sender.join();
+
+    loop.request_shutdown();
+    EXPECT_EQ(loop.join(), 0);
+    const auto stats = loop.stats();
+    EXPECT_EQ(stats.requests, 3u);
+    EXPECT_EQ(stats.responses, 3u);
+  }
+  EXPECT_EQ(open_fd_count(), fds_before);
+}
+
+TEST(EventLoopTest, PipelinedUpdatesApplyInSendOrder) {
+  // Updates carry no user, so they all route to shard 0, whose one worker
+  // must apply them in the order they were sent on the connection.
+  const data::ImplicitDataset dataset =
+      data::generate_synthetic_dataset(data::amazon_men_spec(data::kTestScale));
+  Rng rng(5);
+  Tensor features({dataset.num_items, 4});
+  testing::fill_uniform(features, rng);
+  serve::ModelRegistry registry(dataset);
+  registry.register_model(
+      "vbpr", std::make_shared<recsys::Vbpr>(dataset, features, recsys::VbprConfig{}, rng),
+      /*visual=*/true);
+  serve::ShardRouterConfig router_cfg;
+  router_cfg.num_shards = 2;
+  serve::ShardRouter router(dataset, registry, features, router_cfg);
+  serve::EventLoop loop(
+      test_config(), router.num_shards(),
+      [&router](const std::string& line) {
+        const std::int64_t user = serve::peek_user(line);
+        return user >= 0 ? router.shard_of(user) : std::size_t{0};
+      },
+      [&router](std::size_t, const std::string& line) {
+        try {
+          const serve::Request req = serve::parse_request(line);
+          const std::uint64_t epoch = router.update_item_features(req.item, req.features);
+          return serve::format_ok("\"epoch\":" + std::to_string(epoch));
+        } catch (const std::exception& e) {
+          return serve::format_error(e.what());
+        }
+      });
+  loop.start();
+
+  constexpr std::int64_t kItem = 3;
+  constexpr int kUpdates = 64;
+  std::string burst;
+  for (int k = 0; k < kUpdates; ++k) {
+    // Row k is k + 0.5 in every column: exact in float and in the JSON text.
+    const std::string v = std::to_string(k) + ".5";
+    burst += "{\"op\":\"update_features\",\"item\":" + std::to_string(kItem) +
+             ",\"features\":[" + v + "," + v + "," + v + "," + v + "]}\n";
+  }
+  TestClient client(loop.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.send_raw(burst));
+  double last_epoch = -1.0;
+  for (int k = 0; k < kUpdates; ++k) {
+    const std::string line = client.read_line();
+    ASSERT_FALSE(line.empty()) << "response " << k << " never arrived";
+    const obs::json::Value response = obs::json::parse(line);
+    const obs::json::Value* epoch = response.find("epoch");
+    ASSERT_NE(epoch, nullptr) << line;
+    EXPECT_GT(epoch->num, last_epoch) << "response " << k;
+    last_epoch = epoch->num;
+  }
+  loop.request_shutdown();
+  EXPECT_EQ(loop.join(), 0);
+  const std::vector<float> expected(4, static_cast<float>(kUpdates - 1) + 0.5f);
+  EXPECT_EQ(router.feature_store().item_features(kItem), expected);
+}
+
 TEST(EventLoopTest, PeekUserExtractsRoutingHint) {
   EXPECT_EQ(serve::peek_user("{\"op\":\"recommend\",\"user\":42,\"n\":5}"), 42);
   EXPECT_EQ(serve::peek_user("{\"user\" : 7}"), 7);
@@ -198,7 +321,6 @@ TEST(EventLoopTest, PeekUserExtractsRoutingHint) {
 
 TEST(AdmissionTest, OverloadShedsInsteadOfHanging) {
   serve::EventLoopConfig cfg = test_config();
-  cfg.workers_per_shard = 1;
   cfg.max_inflight = 2;
   serve::EventLoop loop(
       cfg, 1, [](const std::string&) { return std::size_t{0}; },

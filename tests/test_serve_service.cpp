@@ -1,5 +1,5 @@
 // RecommendService behaviour: golden agreement with the ranker, caching and
-// selective epoch invalidation, request coalescing, hot feature swaps, and
+// selective epoch invalidation, batched scoring, hot feature swaps, and
 // a multi-threaded hammer (the CI TSAN job runs these suites — keep every
 // scenario concurrency-clean).
 #include <gtest/gtest.h>
@@ -103,10 +103,14 @@ TEST_F(ServeServiceTest, BatchMatchesSingles) {
   const std::vector<std::int64_t> users = {0, 3, 1, 3, 5};
   const auto batch = service.recommend_batch("vbpr", users, 8);
   ASSERT_EQ(batch.size(), users.size());
+  // All five were misses, scored in one pass: one coalesced batch. Single
+  // requests never count as one.
+  EXPECT_EQ(service.stats().coalesced_batches, 1u);
   for (std::size_t i = 0; i < users.size(); ++i) {
     EXPECT_EQ(batch[i].user, users[i]);
     EXPECT_EQ(batch[i].items, service.recommend("vbpr", users[i], 8).items);
   }
+  EXPECT_EQ(service.stats().coalesced_batches, 1u);
 }
 
 TEST_F(ServeServiceTest, ValidatesInputs) {
@@ -217,35 +221,8 @@ TEST_F(ServeServiceTest, ChangelogOverflowFallsBackToRecompute) {
   EXPECT_EQ(after.items, before.items);  // no-op rewrites: same scores
 }
 
-TEST_F(ServeServiceTest, CoalescesConcurrentRequests) {
-  serve::ServeConfig cfg;
-  cfg.batch_window_us = 50000;  // 50ms window: plenty for the joiners
-  cfg.batch_max = 8;
-  auto service = make_service(cfg);
-
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  std::vector<serve::Recommendation> recs(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&service, &recs, t] {
-      recs[static_cast<std::size_t>(t)] = service.recommend("vbpr", t, 10);
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  const auto snap = registry_.get("vbpr");
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(recs[static_cast<std::size_t>(t)].user, t);
-    EXPECT_EQ(recs[static_cast<std::size_t>(t)].items,
-              golden_topn(dataset_, *snap.model, t, 10));
-  }
-  EXPECT_GE(service.stats().coalesced_batches, 1u);
-}
-
 TEST_F(ServeServiceTest, ConcurrentLoadWithSwapsStaysConsistent) {
-  serve::ServeConfig cfg;
-  cfg.batch_window_us = 100;
-  auto service = make_service(cfg);
+  auto service = make_service();
 
   constexpr int kThreads = 4;
   constexpr int kRequests = 150;

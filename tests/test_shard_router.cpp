@@ -221,6 +221,10 @@ TEST_F(ShardRouterTest, StatsAggregateAcrossShards) {
   }
   EXPECT_EQ(per_shard, total.requests);
   EXPECT_GT(total.cache_hits, 0u);
+  // Rolling quantiles come from the merged shard windows, which hold every
+  // request served here.
+  EXPECT_EQ(total.rolling_window_requests, total.requests);
+  EXPECT_GT(total.rolling_p50_s, 0.0);
 }
 
 TEST_F(ShardRouterTest, ConcurrentHammerWithSwapsStaysCanonical) {

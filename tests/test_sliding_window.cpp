@@ -115,6 +115,41 @@ TEST(SlidingWindow, WriterRecyclesRotatedSlot) {
   EXPECT_EQ(snap.buckets[1], 1u);
 }
 
+TEST(SlidingWindow, MergedShardSnapshotsMatchUnionQuantiles) {
+  // Two shards with disjoint latency sets: a busy fast shard and a quiet
+  // slow one. Merging their buckets must give exactly the quantiles of one
+  // window fed the union; the max of per-shard p50s (the slow shard's)
+  // would not.
+  const std::vector<double> bounds = exponential_bounds(1e-6, 2.0, 30);
+  SlidingWindowHistogram fast(30 * kSlotUs, 30, bounds);
+  SlidingWindowHistogram slow(30 * kSlotUs, 30, bounds);
+  SlidingWindowHistogram both(30 * kSlotUs, 30, bounds);
+  const std::uint64_t t = 50 * kSlotUs;
+  for (int i = 0; i < 300; ++i) {
+    const double v = 1e-4 * (1.0 + 0.01 * i);
+    fast.observe(v, t);
+    both.observe(v, t);
+  }
+  for (int i = 0; i < 100; ++i) {
+    const double v = 5e-3 * (1.0 + 0.01 * i);
+    slow.observe(v, t);
+    both.observe(v, t);
+  }
+  SlidingWindowHistogram::Snapshot merged;
+  merged.merge(fast.snapshot(t));
+  merged.merge(slow.snapshot(t));
+  const auto reference = both.snapshot(t);
+  EXPECT_EQ(merged.count, reference.count);
+  EXPECT_EQ(merged.buckets, reference.buckets);
+  for (const double q : {0.5, 0.9, 0.99}) {
+    EXPECT_DOUBLE_EQ(merged.quantile(q), reference.quantile(q)) << "q=" << q;
+  }
+  EXPECT_LT(merged.quantile(0.5), slow.snapshot(t).quantile(0.5));
+
+  SlidingWindowHistogram other_bounds(30 * kSlotUs, 30, {1.0, 2.0});
+  EXPECT_THROW(merged.merge(other_bounds.snapshot(t)), std::invalid_argument);
+}
+
 TEST(SlidingWindow, ConcurrentObserveAndSnapshot) {
   // TSan leg: hammer observe() from several threads (real clock) while a
   // reader merges snapshots. Every snapshot must be internally consistent —

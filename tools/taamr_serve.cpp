@@ -8,8 +8,8 @@
 //
 // TCP serving runs through the sharded engine: a ShardRouter partitions
 // users over TAAMR_SERVE_SHARDS per-shard RecommendServices, and an epoll
-// EventLoop (serve/event_loop.hpp) multiplexes connections onto a fixed
-// worker set with bounded per-shard queues — overload sheds
+// EventLoop (serve/event_loop.hpp) multiplexes connections onto one worker
+// per shard with bounded per-shard queues — overload sheds
 // {"error":"overloaded"} instead of queueing unboundedly, and shutdown
 // drains in-flight requests before closing. stdin mode keeps the simple
 // synchronous loop (one request, one response) for scripting and smoke
@@ -139,8 +139,9 @@ std::string Server::handle_line(const std::string& line) {
       }
       case serve::Op::kProfile: {
         // On-demand CPU window from the live process: collapsed stacks,
-        // "# EOF"-framed like metrics. The handling shard worker sleeps for
-        // the window; the other workers keep serving (and are what the
+        // "# EOF"-framed like metrics. The handling shard's worker (shard 0:
+        // the line carries no user) sleeps for the window, so shard 0's
+        // queue waits; the other shards keep serving (and are what the
         // samples catch).
         std::string text =
             obs::Profiler::global().profile_window_folded(req.seconds);
@@ -175,7 +176,7 @@ int serve_tcp(Server& server, int port) {
   serve::EventLoop loop(
       cfg, server.router->num_shards(),
       // Routing hint only: park the request on the queue of the shard its
-      // user hashes to, so a shard's coalescer sees its own users. The
+      // user hashes to, so each shard's worker serves its own users. The
       // router re-derives the shard from the parsed request either way.
       [&server](const std::string& line) {
         const std::int64_t user = serve::peek_user(line);
